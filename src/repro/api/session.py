@@ -42,8 +42,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.api.spec import KernelSpec, coerce_spec, kernel_from_spec
-from repro.core.cachestore import CacheLookup, MatrixCache
-from repro.core.engine import ENGINE_EXECUTORS, GramEngine, string_fingerprint
+from repro.core.cachestore import MatrixCache
+from repro.core.engine import ENGINE_EXECUTORS, GramEngine, PendingEvaluator, string_fingerprint
 from repro.core.pairstore import PairStore
 from repro.core.matrix import KernelMatrix
 from repro.kernels.base import StringKernel
@@ -352,7 +352,6 @@ class AnalysisSession:
         strings: Sequence[WeightedString],
         normalized: bool = True,
         repair: bool = True,
-        cache_path: Optional[str] = None,
         use_cache: bool = True,
     ) -> KernelMatrix:
         """Labelled kernel matrix over *strings* under *spec*.
@@ -362,13 +361,10 @@ class AnalysisSession:
         left on), the result cache is consulted first: an identical
         cached corpus is served bit-identically with zero kernel
         evaluations, and a cached prefix is extended (only the appended
-        rows are computed).  *cache_path* enables the engine's per-file
-        stamped persistence instead (the two are mutually exclusive; a
-        given *cache_path* wins).
+        rows are computed).
         """
         matrix, _ = self.matrix_cached(
-            spec, strings, normalized=normalized, repair=repair,
-            cache_path=cache_path, use_cache=use_cache,
+            spec, strings, normalized=normalized, repair=repair, use_cache=use_cache
         )
         return matrix
 
@@ -378,86 +374,47 @@ class AnalysisSession:
         strings: Sequence[WeightedString],
         normalized: bool = True,
         repair: bool = True,
-        cache_path: Optional[str] = None,
         use_cache: bool = True,
+        evaluate: Optional[PendingEvaluator] = None,
     ) -> Tuple[KernelMatrix, str]:
         """:meth:`matrix` plus the result-cache outcome.
+
+        The one cache-aware Gram path: probe the result cache; serve an
+        exact hit; otherwise evaluate only the pairs outside the cached
+        prefix, assemble (:meth:`GramEngine.matrix
+        <repro.core.engine.GramEngine.matrix>`), store the *pre-repair*
+        matrix, then repair.  *evaluate* is handed to the engine in place
+        of its in-process pair evaluation — the service passes a
+        distributed block coordinator.
 
         Returns ``(matrix, status)`` where *status* is ``"hit"`` (served
         verbatim from the cache), ``"extended"`` (cached prefix reused,
         appended rows computed), ``"miss"`` (computed cold and stored) or
-        ``"bypass"`` (no cache, *use_cache* off, or *cache_path* given).
+        ``"bypass"`` (no cache, *use_cache* off, or an empty corpus).
         """
         string_list = list(strings)
-        cache = self.matrix_cache if (use_cache and cache_path is None and string_list) else None
-        if cache is None:
-            matrix = self.engine(spec).compute(
-                string_list, normalized=normalized, repair=repair, cache_path=cache_path
-            )
-            return matrix, "bypass"
         engine = self.engine(spec)
-        found = self.matrix_cache_lookup(spec, string_list, normalized=normalized)
-        if found.status == "hit":
-            matrix = KernelMatrix.from_dict(found.payload)
-            status = "hit"
-        else:
-            base: Optional[KernelMatrix] = None
-            base_fingerprints: Optional[List[str]] = None
-            if found.status == "prefix":
-                base = KernelMatrix.from_dict(found.payload)
-                base_fingerprints = [str(item) for item in found.payload["fingerprints"]]
-            matrix = engine.matrix(
-                string_list,
-                normalized=normalized,
-                base=base,
-                base_fingerprints=base_fingerprints,
-                base_signature=engine.kernel_signature() if base is not None else None,
+        status, base = "bypass", None
+        if use_cache and self.matrix_cache is not None and string_list:
+            found = self.matrix_cache.lookup(
+                engine.kernel_signature(),
+                bool(normalized),
+                [string_fingerprint(string) for string in string_list],
+                [string.name for string in string_list],
+                [string.label for string in string_list],
             )
-            self.matrix_cache_store(spec, string_list, matrix)
-            status = "extended" if base is not None else "miss"
+            status = {"hit": "hit", "prefix": "extended"}.get(found.status, "miss")
+            if found.payload is not None:
+                base = KernelMatrix.from_dict(found.payload)
+        if status == "hit":
+            matrix = base
+        else:
+            matrix = engine.matrix(string_list, normalized=normalized, base=base, evaluate=evaluate)
+            if status != "bypass":
+                self.matrix_cache.store(engine.matrix_payload(matrix, string_list))
         if repair and not matrix.is_positive_semidefinite():
             matrix = matrix.repaired()
         return matrix, status
-
-    # ------------------------------------------------------------------
-    # Persistent result cache (shared with servers/workers via the state dir)
-    # ------------------------------------------------------------------
-    def matrix_cache_lookup(
-        self, spec: SpecLike, strings: Sequence[WeightedString], normalized: bool = True
-    ) -> CacheLookup:
-        """Result-cache probe for ``(spec, strings)``; a miss when disabled.
-
-        Service front ends use this directly when they need the raw
-        lookup — e.g. to skip distributed block tasks already covered by
-        a cached prefix — while plain callers go through
-        :meth:`matrix_cached`.
-        """
-        if self.matrix_cache is None:
-            return CacheLookup("miss")
-        string_list = list(strings)
-        return self.matrix_cache.lookup(
-            self.engine(spec).kernel_signature(),
-            bool(normalized),
-            [string_fingerprint(string) for string in string_list],
-            [string.name for string in string_list],
-            [string.label for string in string_list],
-        )
-
-    def matrix_cache_store(
-        self, spec: SpecLike, strings: Sequence[WeightedString], matrix: KernelMatrix
-    ) -> bool:
-        """Store a *pre-repair* matrix in the result cache; whether stored.
-
-        The stored payload is the engine's stamped
-        :meth:`~repro.core.engine.GramEngine.matrix_payload` form, so the
-        entry is self-describing and every layer (session, server, CLI)
-        can serve it bit-identically.
-        """
-        if self.matrix_cache is None or not len(matrix):
-            return False
-        engine = self.engine(spec)
-        self.matrix_cache.store(engine.matrix_payload(matrix, list(strings)))
-        return True
 
     # ------------------------------------------------------------------
     # Streaming serving path (landmark/Nyström models)
@@ -561,7 +518,7 @@ class AnalysisSession:
         """Queue an arbitrary callable on the session's job pool; returns a job id.
 
         The persistence hook for service front ends: a server wraps its own
-        computation (e.g. a block-sharded matrix job that also writes the
+        computation (e.g. a distributed matrix job that also writes the
         result to an on-disk job store) in *work* and still gets the
         session's job-id/status/result lifecycle — including
         :class:`JobError` wrapping and :class:`JobTimeout` on slow results.

@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="block-shard count for the job (1 = monolithic; default: the server's default)",
+        help="block-shard count for the job, used by --distributed (default: the server's default)",
     )
     remote_matrix.add_argument(
         "--distributed",

@@ -11,8 +11,12 @@ the value-relevant kernel signature and the corpus content, so that
   server, a restarted one, or a sibling sharing the state dir — is served
   from the cache bit-identically, with zero kernel evaluations;
 * submitting a corpus that *extends* a cached one reuses the cached
-  prefix through the engine's incremental-extension path, computing only
-  the appended rows/blocks.
+  prefix (:meth:`GramEngine.matrix <repro.core.engine.GramEngine.matrix>`
+  with ``base=``), computing only the appended rows/blocks.
+
+It is the one persistence layer for whole matrices; the only reader and
+writer is :meth:`AnalysisSession.matrix_cached
+<repro.api.session.AnalysisSession.matrix_cached>`.
 
 Layout
 ------
@@ -35,8 +39,9 @@ damaged pairs self-heal on the next lookup.
 
 Entries store the **pre-repair** matrix.  PSD repair is deterministic and
 cheap next to kernel evaluation, so callers re-apply it after a hit — and
-the pre-repair form is exactly what the engine's incremental extension
-needs, keeping extended matrices bit-identical to cold computations.
+the pre-repair form is exactly what :meth:`GramEngine.matrix
+<repro.core.engine.GramEngine.matrix>` extends from a cached prefix,
+keeping extended matrices bit-identical to cold computations.
 
 Eviction is LRU (meta-file mtime, touched on every hit) bounded by
 ``max_entries``, plus an optional TTL; :meth:`sweep` enforces both and is
@@ -297,7 +302,7 @@ class MatrixCache:
 
         The payload must carry the engine stamps (see
         :func:`payload_identity`) and should be the *pre-repair* matrix —
-        the form the engine's incremental extension consumes.  Writing the
+        the form prefix extension consumes.  Writing the
         payload first and its meta second means a crash in between leaves
         an orphan payload no lookup will ever serve.
         """

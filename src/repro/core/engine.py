@@ -14,10 +14,15 @@ construction can exploit in one place:
   over a ``concurrent.futures`` thread pool (``n_jobs`` workers).  The numpy
   kernel backend spends its time in ufunc sweeps that release the GIL, so
   threads give real speedup without any pickling cost;
-* **on-disk persistence with incremental extension** — a computed matrix
-  can be saved as JSON (via :meth:`KernelMatrix.as_dict`); when the engine
-  is later asked for a corpus whose prefix matches a saved matrix, only the
-  rows/columns of the newly appended strings are evaluated.
+* **prefix extension** — :meth:`GramEngine.matrix` takes a *base* matrix
+  over a leading prefix of the corpus (a verified
+  :class:`~repro.core.cachestore.MatrixCache` entry) and evaluates only the
+  rows/columns of the appended strings.
+
+Persisting matrices is not the engine's job: the
+:class:`~repro.core.cachestore.MatrixCache`, driven by
+:meth:`AnalysisSession.matrix_cached <repro.api.session.AnalysisSession.matrix_cached>`,
+is the one on-disk matrix layer.
 
 The engine is deterministic: the values it produces are identical for any
 ``n_jobs`` (workers only ever compute independent pairs; assembly order is
@@ -27,12 +32,10 @@ fixed).
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,8 +46,6 @@ from repro.strings.tokens import Token, WeightedString
 
 __all__ = [
     "GramEngine",
-    "save_matrix",
-    "load_matrix",
     "string_fingerprint",
     "plan_index_blocks",
     "block_index_pairs",
@@ -55,6 +56,11 @@ __all__ = [
 
 #: Symmetric content key of an unordered string pair (ordered small-int pair).
 PairKey = Tuple[int, int]
+
+#: ``(strings, covered) -> {(i, j): raw value}`` for every ``i < j`` pair
+#: with ``j >= covered`` — the pluggable evaluation step of
+#: :meth:`GramEngine.matrix`.
+PendingEvaluator = Callable[[List[WeightedString], int], Dict[Tuple[int, int], float]]
 
 #: Worker-pool implementations accepted by :class:`GramEngine`.
 ENGINE_EXECUTORS = ("thread", "process")
@@ -109,9 +115,11 @@ _FINGERPRINT_MEMO_LIMIT = 65_536
 def string_fingerprint(string: WeightedString) -> str:
     """Content digest of a weighted string (name and label excluded).
 
-    Used by the on-disk matrix cache to detect corpora whose example
-    *names* match a stored matrix but whose token content changed (e.g.
-    the same trace corpus re-encoded with different options).
+    The content key of every persistent layer: the
+    :class:`~repro.core.cachestore.MatrixCache` matches corpora by it (so
+    same-named strings whose tokens changed never reuse a stored matrix)
+    and the :class:`~repro.core.pairstore.PairStore` keys single kernel
+    values by it.
     """
     memo = _FINGERPRINT_MEMO.get(id(string))
     if memo is not None and memo[0] is string:
@@ -129,44 +137,6 @@ def string_fingerprint(string: WeightedString) -> str:
     return value
 
 
-def _write_json_atomic(payload: Dict[str, Any], path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    temporary = f"{path}.tmp"
-    with open(temporary, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-    os.replace(temporary, path)
-
-
-def save_matrix(
-    matrix: KernelMatrix,
-    path: str,
-    fingerprints: Optional[Sequence[str]] = None,
-    kernel_signature: Optional[str] = None,
-) -> None:
-    """Persist *matrix* as JSON (atomically, via a temporary file).
-
-    *fingerprints* (one per example, see :func:`string_fingerprint`) and
-    *kernel_signature* are stored alongside :meth:`KernelMatrix.as_dict`
-    so a later load can prove the cached values still describe the same
-    corpus content and kernel configuration.  Prefer
-    :meth:`GramEngine.save`, which cannot omit the stamps.
-    """
-    payload = matrix.as_dict()
-    if fingerprints is not None:
-        payload["fingerprints"] = list(fingerprints)
-    if kernel_signature is not None:
-        payload["kernel_signature"] = kernel_signature
-    _write_json_atomic(payload, path)
-
-
-def load_matrix(path: str) -> KernelMatrix:
-    """Load a matrix previously written by :func:`save_matrix`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return KernelMatrix.from_dict(payload)
-
-
 # ----------------------------------------------------------------------
 # Block-sharding plan helpers
 # ----------------------------------------------------------------------
@@ -175,7 +145,7 @@ def plan_index_blocks(count: int, shards: int) -> List[Tuple[int, int]]:
 
     The blocks are as even as possible (sizes differ by at most one) and
     cover the index range exactly once.  They are the unit of the service
-    layer's sharded Gram jobs: each unordered block pair becomes one
+    layer's distributed Gram jobs: each unordered block pair becomes one
     independent evaluation task (see :func:`block_index_pairs`), and the
     per-block results merge through :meth:`GramEngine.assemble_gram` into
     the same matrix a monolithic evaluation produces.
@@ -219,7 +189,7 @@ def encode_pair_values(raw_by_pair: Dict[Tuple[int, int], float]) -> List[List[f
     The wire/persistence form of one block task's result: Python's JSON
     float representation is the shortest round-tripping one, so values
     decoded by :func:`decode_pair_values` are bit-identical to the floats
-    the evaluating worker computed — the property the sharded Gram
+    the evaluating worker computed — the property the distributed Gram
     assembly relies on.
     """
     return [
@@ -580,11 +550,7 @@ class GramEngine:
     # ------------------------------------------------------------------
     def gram(self, strings: Sequence[WeightedString], normalized: bool = True) -> np.ndarray:
         """The (square, symmetric) Gram matrix over *strings* as an array."""
-        string_list = list(strings)
-        count = len(string_list)
-        pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
-        raw_by_pair = self.evaluate_pairs(string_list, pairs)
-        return self.assemble_gram(string_list, raw_by_pair, normalized=normalized)
+        return self.matrix(strings, normalized=normalized).values
 
     def assemble_gram(
         self,
@@ -597,7 +563,7 @@ class GramEngine:
 
         *raw_by_pair* must cover every unordered ``i != j`` index pair once
         (either orientation) — e.g. the union of per-block results from a
-        sharded evaluation (:func:`plan_index_blocks` /
+        distributed evaluation (:func:`plan_index_blocks` /
         :func:`block_index_pairs`).  Diagonal entries and normalisation
         denominators come from the engine's cached self values, so merging
         separately computed blocks yields bit-identical values to a
@@ -607,9 +573,9 @@ class GramEngine:
         prefix of *strings* (the caller vouches for the content match —
         e.g. a result-cache entry verified by corpus fingerprints), its
         block is copied verbatim and *raw_by_pair* only needs to cover
-        pairs involving an appended index — the assembly arithmetic of the
-        engine's incremental extension, so an extended matrix stays
-        bit-identical to a cold full computation.
+        pairs involving an appended index; the arithmetic is the same as
+        for the cold matrix, so an extended matrix stays bit-identical to
+        a cold full computation.
         """
         string_list = list(strings)
         count = len(string_list)
@@ -648,12 +614,13 @@ class GramEngine:
     ) -> Dict[Tuple[int, int], float]:
         """Evaluate the raw kernel for every index pair, deduplicated by content.
 
-        This is the engine's scheduling seam: one call is one *task* — the
-        service layer's sharded Gram jobs issue one call per index block and
-        merge through :meth:`assemble_gram`.  Content-identical pairs
-        (including ``(i, j)`` vs ``(j, i)`` requests and duplicate strings
-        in the corpus) map onto one unique evaluation; cached values are
-        served first, and the remainder is scheduled over the worker pool.  Kernels exposing a ``value_row`` batch method (the
+        This is the engine's scheduling seam: one call is one *task* — a
+        :meth:`matrix` call issues one, a distributed job's block tasks one
+        per index-block pair, merged through :meth:`assemble_gram`.
+        Content-identical pairs (including ``(i, j)`` vs ``(j, i)`` requests
+        and duplicate strings in the corpus) map onto one unique evaluation;
+        cached values are served first, and the remainder is scheduled over
+        the worker pool.  Kernels exposing a ``value_row`` batch method (the
         Kast kernel's numpy backend does) are driven row by row — one work
         item evaluates one string against all of its pending partners, which
         amortises the per-pair setup cost; other kernels fall back to fixed
@@ -802,7 +769,7 @@ class GramEngine:
         return [(key, float(self.kernel.value(strings[i], strings[j]))) for key, (i, j) in chunk]
 
     # ------------------------------------------------------------------
-    # Labelled matrices, persistence and incremental extension
+    # Labelled matrices
     # ------------------------------------------------------------------
     def kernel_signature(self) -> str:
         """String identifying every kernel option that affects values.
@@ -828,8 +795,9 @@ class GramEngine:
         fields (:meth:`KernelMatrix.as_dict`) plus the content fingerprints
         of *strings*, the spec-derived kernel signature and — when the
         engine has a declarative spec — the spec itself, so a payload is
-        self-describing.  Used by :meth:`save` and the CLI ``matrix``
-        command.
+        self-describing.  The :class:`~repro.core.cachestore.MatrixCache`
+        stores this form, and the service and the CLI ``matrix`` command
+        emit it.
         """
         string_list = list(strings)
         if len(string_list) != len(matrix):
@@ -843,179 +811,40 @@ class GramEngine:
             payload["kernel_spec"] = self.spec.to_dict()
         return payload
 
-    def save(self, matrix: KernelMatrix, path: str, strings: Sequence[WeightedString]) -> None:
-        """Persist *matrix*, always stamping fingerprints and kernel signature.
-
-        Unlike the module-level :func:`save_matrix` (whose metadata arguments
-        are optional), the engine method cannot produce an unstamped file:
-        every matrix it writes carries the full :meth:`matrix_payload`
-        metadata, so stale-cache detection can never be silently skipped.
-        """
-        _write_json_atomic(self.matrix_payload(matrix, strings), path)
-
     def matrix(
         self,
         strings: Sequence[WeightedString],
         normalized: bool = True,
         base: Optional[KernelMatrix] = None,
-        base_fingerprints: Optional[Sequence[str]] = None,
-        base_signature: Optional[str] = None,
+        evaluate: Optional[PendingEvaluator] = None,
     ) -> KernelMatrix:
         """Labelled (pre-repair) kernel matrix over *strings*.
 
-        When *base* is a previously computed matrix whose examples form a
-        prefix of *strings* (matched by name, kernel and normalisation
-        mode — and, when *base_fingerprints*/*base_signature* are given,
-        by string content and full kernel configuration), its block is
-        reused verbatim and only pairs involving the appended strings are
-        evaluated.
+        Only the *pending* pairs are evaluated: every ``i < j`` pair with
+        ``j >= covered``, where ``covered`` is the length of *base* — a
+        matrix over a leading prefix of *strings* whose content the caller
+        has verified (:meth:`MatrixCache.lookup
+        <repro.core.cachestore.MatrixCache.lookup>` does), reused verbatim
+        by :meth:`assemble_gram`.  *evaluate* replaces the in-process
+        :meth:`evaluate_pairs` call: it is given ``(strings, covered)`` and
+        must return the raw value of every pending pair (the service's
+        distributed jobs pass a block coordinator here).
         """
         string_list = list(strings)
-        names = tuple(string.name for string in string_list)
-        labels = tuple(string.label for string in string_list)
-        values: Optional[np.ndarray] = None
-        if base is not None and self._base_is_prefix(
-            base, string_list, names, normalized, base_fingerprints, base_signature
-        ):
-            values = self._extend_values(base, string_list, normalized)
-        if values is None:
-            values = self.gram(string_list, normalized=normalized)
+        covered = len(base) if base is not None else 0
+        if evaluate is None:
+            count = len(string_list)
+            pairs = [(i, j) for i in range(count) for j in range(max(i + 1, covered), count)]
+            raw_by_pair = self.evaluate_pairs(string_list, pairs)
+        else:
+            raw_by_pair = evaluate(string_list, covered)
         return KernelMatrix(
-            values=values,
-            names=names,
-            labels=labels,
+            values=self.assemble_gram(string_list, raw_by_pair, normalized=normalized, base=base),
+            names=tuple(string.name for string in string_list),
+            labels=tuple(string.label for string in string_list),
             kernel_name=self.kernel.name,
             normalized=normalized,
         )
-
-    def _base_is_prefix(
-        self,
-        base: KernelMatrix,
-        strings: List[WeightedString],
-        names: Tuple[str, ...],
-        normalized: bool,
-        base_fingerprints: Optional[Sequence[str]] = None,
-        base_signature: Optional[str] = None,
-    ) -> bool:
-        if not (
-            base.kernel_name == self.kernel.name
-            and base.normalized == normalized
-            and len(base) <= len(names)
-            and tuple(base.names) == names[: len(base)]
-        ):
-            return False
-        if base_signature is not None and base_signature != self.kernel_signature():
-            return False
-        if base_fingerprints is not None:
-            if len(base_fingerprints) != len(base):
-                return False
-            current = [string_fingerprint(string) for string in strings[: len(base)]]
-            if list(base_fingerprints) != current:
-                return False
-        return True
-
-    def _extend_values(
-        self,
-        base: KernelMatrix,
-        strings: List[WeightedString],
-        normalized: bool,
-    ) -> np.ndarray:
-        existing = len(base)
-        count = len(strings)
-        values = np.zeros((count, count), dtype=float)
-        values[:existing, :existing] = base.values
-        if existing == count:
-            return values
-        self_values = self.self_values(strings)
-        pairs = [(i, j) for j in range(existing, count) for i in range(j)]
-        raw_by_pair = self.evaluate_pairs(strings, pairs)
-        for (i, j), raw in raw_by_pair.items():
-            entry = normalize_kernel_value(raw, self_values[i], self_values[j]) if normalized else raw
-            values[i, j] = entry
-            values[j, i] = entry
-        for i in range(existing, count):
-            values[i, i] = 1.0 if normalized and self_values[i] > 0 else self_values[i]
-        return values
-
-    def extend(self, base: KernelMatrix, strings: Sequence[WeightedString], normalized: bool = True) -> KernelMatrix:
-        """Extend *base* to cover *strings* (which must start with base's examples)."""
-        string_list = list(strings)
-        names = tuple(string.name for string in string_list)
-        if not self._base_is_prefix(base, string_list, names, normalized):
-            raise ValueError(
-                "base matrix does not match the corpus prefix "
-                f"(kernel {base.kernel_name!r} vs {self.kernel.name!r}, {len(base)} vs {len(names)} examples)"
-            )
-        return self.matrix(string_list, normalized=normalized, base=base)
-
-    def compute(
-        self,
-        strings: Sequence[WeightedString],
-        normalized: bool = True,
-        repair: bool = True,
-        cache_path: Optional[str] = None,
-    ) -> KernelMatrix:
-        """One-call matrix computation with optional on-disk persistence.
-
-        When *cache_path* exists and its stored corpus fingerprints and
-        kernel signature match, its matrix seeds the computation (full
-        reuse if the corpus is unchanged, incremental extension if strings
-        were appended); any mismatch — including same-named strings whose
-        content changed — triggers a full recomputation.  The *pre-repair*
-        matrix is written back, so later extensions stay exact.
-        """
-        string_list = list(strings)
-        base: Optional[KernelMatrix] = None
-        base_fingerprints: Optional[List[str]] = None
-        base_signature: Optional[str] = None
-        if cache_path is not None and os.path.exists(cache_path):
-            try:
-                with open(cache_path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                base = KernelMatrix.from_dict(payload)
-                stored_fingerprints = payload.get("fingerprints")
-                base_fingerprints = (
-                    [str(item) for item in stored_fingerprints]
-                    if isinstance(stored_fingerprints, list)
-                    # Files without fingerprints cannot prove content
-                    # identity: an empty list always mismatches a
-                    # non-empty corpus prefix, forcing recomputation.
-                    else []
-                )
-                base_signature = str(payload.get("kernel_signature", ""))
-            # Any malformed file — wrong JSON shape included — falls back
-            # to recomputation, as documented.
-            except (ValueError, KeyError, TypeError, AttributeError, OSError, json.JSONDecodeError):
-                base = None
-                base_fingerprints = None
-                base_signature = None
-
-        names = tuple(string.name for string in string_list)
-        full_hit = (
-            base is not None
-            and len(base) == len(string_list)
-            and tuple(base.labels) == tuple(string.label for string in string_list)
-            and self._base_is_prefix(
-                base, string_list, names, normalized, base_fingerprints, base_signature
-            )
-        )
-        if full_hit:
-            # Nothing changed: reuse the stored matrix verbatim and skip the
-            # rewrite (no point re-serialising an identical O(n^2) file).
-            matrix = base
-        else:
-            matrix = self.matrix(
-                string_list,
-                normalized=normalized,
-                base=base,
-                base_fingerprints=base_fingerprints,
-                base_signature=base_signature,
-            )
-            if cache_path is not None:
-                self.save(matrix, cache_path, string_list)
-        if repair and not matrix.is_positive_semidefinite():
-            matrix = matrix.repaired()
-        return matrix
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,11 +1,11 @@
-"""REP001 — atomic-write discipline in persistent state-dir layers.
+"""REP001 — atomic-write discipline for every file the program writes.
 
 Every store layer persists JSON under the unique-temp + ``os.replace``
 contract (see :mod:`repro.core.atomicio`): a bare ``open(path, "w")`` or
-``Path.write_text`` in one of those modules is a torn-file bug waiting
-for a crash, and a pid-only temp name is a collision waiting for two
-threads (the PR 5 temp-file collision).  This rule flags, inside the
-scoped modules:
+``Path.write_text`` is a torn-file bug waiting for a crash, and a
+pid-only temp name is a collision waiting for two threads.  The rule
+covers every module — not a chosen list of store layers — so a new
+writer cannot slip in unchecked.  It flags:
 
 * write-mode builtin ``open(...)`` calls, **unless** the enclosing
   function itself implements the full idiom — an ``os.replace`` call
@@ -27,17 +27,6 @@ from repro.devtools.lint.checkers._helpers import call_name, iter_functions, str
 from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.registry import Checker, register_checker
 from repro.devtools.lint.source import Project, SourceFile
-
-#: Modules whose on-disk writes are durable state (or operator contracts)
-#: and must therefore be atomic.
-SCOPE = (
-    "repro/service/jobstore.py",
-    "repro/service/worker.py",
-    "repro/core/cachestore.py",
-    "repro/core/pairstore.py",
-    "repro/streaming/store.py",
-    "repro/cli.py",
-)
 
 #: The one module allowed to open temp files bare: it *is* the idiom.
 EXEMPT = ("repro/core/atomicio.py",)
@@ -94,12 +83,12 @@ def _implements_idiom(function: ast.AST) -> bool:
 class AtomicWriteChecker(Checker):
     rule = "REP001"
     summary = (
-        "state-dir writes must use the unique-temp + os.replace idiom "
+        "file writes must use the unique-temp + os.replace idiom "
         "(repro.core.atomicio), never a bare open(path, 'w') or write_text"
     )
 
     def check_file(self, source: SourceFile, project: Project) -> Iterator[Finding]:
-        if not source.matches(*SCOPE) or source.matches(*EXEMPT):
+        if source.matches(*EXEMPT):
             return
         # Map every node inside a function to its outermost function, so
         # an open() can be excused by the idiom implemented around it.
@@ -119,7 +108,7 @@ class AtomicWriteChecker(Checker):
                     source.path,
                     node.lineno,
                     node.col_offset,
-                    f"bare open(..., {mode!r}) on persistent state: use "
+                    f"bare open(..., {mode!r}) is not atomic: use "
                     "repro.core.atomicio.write_text_atomic (unique temp + os.replace)",
                 )
             elif isinstance(node.func, ast.Attribute) and node.func.attr in (

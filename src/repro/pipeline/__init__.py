@@ -1,6 +1,6 @@
 """End-to-end experiment pipeline, parameter sweeps and canned experiments."""
 
-from repro.pipeline.config import KERNEL_CHOICES, ExperimentConfig, make_kernel
+from repro.pipeline.config import KERNEL_CHOICES, ExperimentConfig
 from repro.pipeline.experiments import (
     DEFAULT_SEED,
     experiment_cut_weight_sweep,
@@ -27,7 +27,6 @@ from repro.pipeline.sweep import PAPER_CUT_WEIGHTS, SweepPoint, SweepResult, cut
 __all__ = [
     "KERNEL_CHOICES",
     "ExperimentConfig",
-    "make_kernel",
     "DEFAULT_SEED",
     "experiment_cut_weight_sweep",
     "experiment_fig6_kpca_kast",

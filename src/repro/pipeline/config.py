@@ -11,14 +11,11 @@ Kernel construction is delegated to the declarative spec registry
 (:mod:`repro.api.spec`): :meth:`ExperimentConfig.kernel_spec` maps the
 experiment knobs onto the configured kernel kind's canonical
 :class:`~repro.api.spec.KernelSpec`, and :meth:`ExperimentConfig.build_kernel`
-instantiates it through :func:`~repro.api.spec.kernel_from_spec`.  The
-legacy :func:`make_kernel` helper remains as a thin deprecated shim over the
-same path.
+instantiates it through :func:`~repro.api.spec.kernel_from_spec`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -29,7 +26,7 @@ from repro.strings.interner import TokenInterner
 from repro.tree.compaction import CompactionConfig
 from repro.workloads.corpus import CorpusConfig
 
-__all__ = ["ExperimentConfig", "make_kernel", "config_from_spec", "KERNEL_CHOICES"]
+__all__ = ["ExperimentConfig", "config_from_spec", "KERNEL_CHOICES"]
 
 #: Kernel identifiers accepted by the experiment configuration and the CLI.
 #: An import-time snapshot of :func:`repro.api.kernel_choices` kept for
@@ -63,38 +60,6 @@ def _spec_for(
     # Remaining (non-composite) registered kinds take their registry
     # defaults; unknown kinds raise through make_spec.
     return make_spec(kind)
-
-
-def make_kernel(
-    kind: str,
-    cut_weight: int = 2,
-    spectrum_k: int = 3,
-    blended_weighted: bool = False,
-    backend: str = "numpy",
-    interner: Optional[TokenInterner] = None,
-) -> StringKernel:
-    """Deprecated shim: instantiate the kernel named *kind*.
-
-    .. deprecated::
-        Use :func:`repro.api.make_spec` + :func:`repro.api.kernel_from_spec`
-        (or an :class:`~repro.api.session.AnalysisSession`) instead; this
-        wrapper survives only for pre-registry callers and simply delegates
-        to the spec registry.
-    """
-    warnings.warn(
-        "make_kernel is deprecated; build a KernelSpec via repro.api.make_spec and "
-        "instantiate it with repro.api.kernel_from_spec (or use AnalysisSession)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = _spec_for(
-        kind,
-        cut_weight=cut_weight,
-        spectrum_k=spectrum_k,
-        blended_weighted=blended_weighted,
-        backend=backend,
-    )
-    return kernel_from_spec(spec, interner=interner)
 
 
 def config_from_spec(spec: KernelSpec, base: Optional["ExperimentConfig"] = None) -> "ExperimentConfig":

@@ -150,36 +150,25 @@ class AnalysisPipeline:
         self,
         strings: Sequence[WeightedString],
         kernel: Optional[StringKernel] = None,
-        cache_path: Optional[str] = None,
     ) -> KernelMatrix:
         """Compute the normalised, PSD-repaired kernel matrix.
 
         The computation goes through the :class:`~repro.core.engine.GramEngine`
         with the configured worker count.  *kernel* overrides the configured
         kernel (the cut-weight sweep passes kernels sharing one token
-        interner); *cache_path* enables the engine's on-disk matrix
-        persistence.  With a bound session (and no kernel override) the
+        interner).  With a bound session (and no kernel override) the
         matrix comes from the session's warm engine for this configuration's
         kernel spec — note the session's execution policy (its ``n_jobs``
         and ``executor``) then applies, not this configuration's ``n_jobs``.
         """
         if kernel is None and self.session is not None:
             return self.session.matrix(
-                self.config.kernel_spec(),
-                list(strings),
-                normalized=True,
-                repair=True,
-                cache_path=cache_path,
+                self.config.kernel_spec(), list(strings), normalized=True, repair=True
             )
         if kernel is None:
             kernel = self.config.build_kernel()
         return compute_kernel_matrix(
-            list(strings),
-            kernel,
-            normalized=True,
-            repair=True,
-            n_jobs=self.config.n_jobs,
-            cache_path=cache_path,
+            list(strings), kernel, normalized=True, repair=True, n_jobs=self.config.n_jobs
         )
 
     def analyse_matrix(

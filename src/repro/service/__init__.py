@@ -19,12 +19,13 @@ share one warm session, and jobs survive the server process.
   it, and ``sweep`` garbage-collects terminal records past a TTL.
 * :mod:`repro.service.server` — :class:`AnalysisServer`, a stdlib
   ``ThreadingHTTPServer`` front end owning a single session and a job
-  store.  Matrix jobs may be **block-sharded**: the index range is split
-  into symmetric blocks, each block-pair is one engine task, and the blocks
-  merge through :meth:`~repro.core.engine.GramEngine.assemble_gram` into a
-  matrix bit-identical to the monolithic computation.  With
-  ``distributed=True`` the blocks become individually leasable records
-  that pull-loop workers execute.
+  store.  Every matrix job runs through
+  :meth:`~repro.api.session.AnalysisSession.matrix_cached`.  With
+  ``distributed=True`` the index range is split into symmetric blocks and
+  each block pair becomes an individually leasable record that pull-loop
+  workers execute; the blocks merge through
+  :meth:`~repro.core.engine.GramEngine.assemble_gram` into a matrix
+  bit-identical to the in-process computation.
 * :mod:`repro.service.worker` — :class:`Worker`, the pull loop: claims
   block tasks from a shared state dir under the store's cross-process
   locks, executes them with a warm session, and renews its leases; a

@@ -12,27 +12,31 @@ two thin front ends drive it:
 * **stdio** — :func:`serve_stdio`, one JSON message per line over a pipe;
   the single-host transport ``repro-iokast serve --stdio`` exposes.
 
-Block-sharded matrix jobs
--------------------------
-A ``submit-matrix`` request with ``shards=k`` splits the corpus index range
-into ``k`` contiguous blocks (:func:`~repro.core.engine.plan_index_blocks`).
-Every unordered block pair becomes one engine task — one
-:meth:`~repro.core.engine.GramEngine.evaluate_pairs` call — and the
-per-block raw values merge through
-:meth:`~repro.core.engine.GramEngine.assemble_gram`, the same assembler the
-engine's incremental extension uses.  Because raw pair values are
-deterministic and assembly arithmetic is shared, the sharded matrix is
-bit-identical to the monolithic one.
+Matrix jobs
+-----------
+Every ``submit-matrix`` job is one
+:meth:`AnalysisSession.matrix_cached <repro.api.session.AnalysisSession.matrix_cached>`
+call — the library's single cache-aware Gram path: probe the result cache,
+serve an exact hit, evaluate only the pairs outside a cached prefix,
+assemble, store the pre-repair matrix, repair.  ``shards=k`` only stamps
+the job's block plan (``k`` contiguous index blocks,
+:func:`~repro.core.engine.plan_index_blocks`); an in-process job evaluates
+exactly as ``shards=1`` does.
 
-With ``distributed=True`` the blocks additionally become individually
-*leasable* ``block`` records in the job store: pull-loop workers
+With ``distributed=True`` the pending pairs are evaluated by a block
+coordinator instead of in process: every unordered index-block pair
+outside the cached prefix becomes an individually *leasable* ``block``
+record in the job store.  Pull-loop workers
 (:class:`~repro.service.worker.Worker`, ``repro-iokast worker``) in other
 processes or on other hosts claim them under the store's cross-process
-file locks, and the server assembles the finished blocks — reclaiming any
-block whose worker died and its lease expired — into the same
-bit-identical payload.  When ``inline_blocks`` is on (the default) the
-coordinating job also executes blocks itself, so a distributed job
-completes even with zero external workers.
+file locks; the coordinator reclaims any block whose worker died and its
+lease expired, decodes the finished blocks' raw values and hands them to
+the engine's assembler (:meth:`~repro.core.engine.GramEngine.assemble_gram`).
+Raw pair values are deterministic and JSON floats round-trip exactly, so
+the payload is bit-identical to the in-process one.  When
+``inline_blocks`` is on (the default) the coordinating job also executes
+blocks itself, so a distributed job completes even with zero external
+workers.
 
 Job persistence and recovery
 ----------------------------
@@ -98,6 +102,7 @@ request is the *default tenant*, whose namespace is the state dir itself
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import logging
@@ -116,7 +121,6 @@ from repro.obs.metrics import MetricsRegistry, render_fleet
 from repro.obs.tracing import new_span_id, new_trace_id, trace_context
 from repro.core.engine import decode_pair_values, plan_index_blocks, string_fingerprint
 from repro.core.pairstore import PairStore
-from repro.core.matrix import KernelMatrix
 from repro.service.auth import Authenticator
 from repro.service.jobstore import JobRecord, JobStore, JobStoreError, LeaseError
 from repro.service.middleware import (
@@ -199,7 +203,7 @@ class AnalysisServer:
         *executor* / *max_job_workers*.
     default_shards:
         Shard count applied to matrix jobs that do not ask for one
-        explicitly (1 = monolithic evaluation).
+        explicitly (the block plan of distributed jobs).
     inline_blocks:
         Whether distributed jobs' coordinators also execute block tasks
         in-process.  On (the default), a distributed job completes with
@@ -232,7 +236,7 @@ class AnalysisServer:
         kernel values by content fingerprint, so reordered / subset /
         interleaved resubmissions of previously computed traces — which
         miss the matrix cache — skip every already-known kernel
-        evaluation, on the monolithic, sharded and distributed paths alike
+        evaluation, in process and on distributed workers alike
         (external workers share the same directory).  When a *session*
         with its own store is passed in, that store is used instead.
     max_pair_bytes / pair_ttl:
@@ -795,27 +799,20 @@ class AnalysisServer:
         spec = self._coerce_spec(record.input["spec"])
         strings = decode_corpus(record.input["strings"])
         if record.kind == "matrix":
+            evaluate = None
             if bool(record.input.get("distributed")):
-                return self._distributed_matrix_payload(
-                    tenant,
-                    record.job_id,
-                    spec,
-                    strings,
-                    normalized=bool(record.input.get("normalized", True)),
-                    repair=bool(record.input.get("repair", True)),
-                    shards=int(record.input.get("shards", 1)),
-                    use_cache=bool(record.input.get("use_cache", True)),
-                )
-            return self._matrix_payload(
-                tenant,
-                record.job_id,
+                shards = int(record.input.get("shards", 1))
+                evaluate = functools.partial(self._evaluate_blocks, tenant, record, spec, shards)
+            matrix, status = tenant.session.matrix_cached(
                 spec,
                 strings,
                 normalized=bool(record.input.get("normalized", True)),
                 repair=bool(record.input.get("repair", True)),
-                shards=int(record.input.get("shards", 1)),
                 use_cache=bool(record.input.get("use_cache", True)),
+                evaluate=evaluate,
             )
+            self._stamp_cache_status(tenant, record.job_id, status)
+            return tenant.session.engine(spec).matrix_payload(matrix, strings)
         if record.kind == "analyze":
             config = self._analyze_config(
                 spec,
@@ -828,126 +825,6 @@ class AnalysisServer:
             return self._fit_model_payload(tenant, record, spec, strings)
         raise JobStoreError(f"job {record.job_id!r} has unexecutable kind {record.kind!r}")
 
-    def _matrix_payload(
-        self,
-        tenant: TenantContext,
-        job_id: str,
-        spec: KernelSpec,
-        strings: List[WeightedString],
-        normalized: bool,
-        repair: bool,
-        shards: int,
-        use_cache: bool = True,
-    ) -> Dict[str, Any]:
-        """The stamped matrix payload, monolithic or block-sharded in-process.
-
-        Both paths consult the persistent result cache first (unless
-        *use_cache* is off): an exact corpus hit is served with zero
-        kernel evaluations, a cached prefix restricts the evaluation to
-        block pairs touching an appended index, and the outcome is stamped
-        into the record (``options["cache"]``).  The sharded path issues
-        one engine task per remaining unordered index-block pair and
-        merges through the engine's assembler; values are bit-identical to
-        :meth:`AnalysisSession.matrix` because every raw pair value comes
-        from the same kernel code and caches.
-        """
-        engine = tenant.session.engine(spec)
-        if shards <= 1:
-            matrix, status = tenant.session.matrix_cached(
-                spec, strings, normalized=normalized, repair=repair, use_cache=use_cache
-            )
-        else:
-            matrix, status = self._sharded_matrix(
-                tenant, spec, strings, normalized, repair, shards, use_cache,
-                evaluate=lambda pairs: engine.evaluate_pairs(strings, pairs),
-            )
-        self._stamp_cache_status(tenant, job_id, status)
-        return engine.matrix_payload(matrix, strings)
-
-    def _cache_base(
-        self, tenant: TenantContext, spec: KernelSpec,
-        strings: List[WeightedString], normalized: bool, use_cache: bool
-    ) -> Tuple[str, Optional[KernelMatrix]]:
-        """Result-cache probe: ``(status, base)`` for a sharded evaluation.
-
-        ``("hit", full matrix)`` on an exact corpus match, ``("extended",
-        prefix matrix)`` when a cached prefix can seed the assembly,
-        ``("miss"|"bypass", None)`` otherwise.
-        """
-        if not use_cache or tenant.session.matrix_cache is None:
-            return "bypass", None
-        found = tenant.session.matrix_cache_lookup(spec, strings, normalized=normalized)
-        if found.status == "hit":
-            return "hit", KernelMatrix.from_dict(found.payload)
-        if found.status == "prefix":
-            return "extended", KernelMatrix.from_dict(found.payload)
-        return "miss", None
-
-    def _sharded_matrix(
-        self,
-        tenant: TenantContext,
-        spec: KernelSpec,
-        strings: List[WeightedString],
-        normalized: bool,
-        repair: bool,
-        shards: int,
-        use_cache: bool,
-        evaluate: Callable[[List[Tuple[int, int]]], Dict[Tuple[int, int], float]],
-    ) -> Tuple[KernelMatrix, str]:
-        """Cache-aware block-sharded evaluation through *evaluate*.
-
-        *evaluate* receives the index pairs of one block pair and returns
-        their raw kernel values — the in-process path hands them straight
-        to the engine, and block pairs fully inside a cached prefix are
-        skipped before *evaluate* ever sees them.
-        """
-        from repro.core.engine import block_index_pairs
-
-        status, base = self._cache_base(tenant, spec, strings, normalized, use_cache)
-        if status == "hit":
-            assert base is not None
-            return self._repaired(base, repair), status
-        covered = len(base) if base is not None else 0
-        raw_by_pair: Dict[Tuple[int, int], float] = {}
-        blocks = plan_index_blocks(len(strings), shards)
-        for first_index, first in enumerate(blocks):
-            for second in blocks[first_index:]:
-                if first[1] <= covered and second[1] <= covered:
-                    continue  # the cached prefix already covers this block pair
-                pairs = block_index_pairs(first, second)
-                if pairs:
-                    raw_by_pair.update(evaluate(pairs))
-        matrix = self._assembled_matrix(tenant, spec, strings, raw_by_pair, normalized, base=base)
-        if status != "bypass":
-            tenant.session.matrix_cache_store(spec, strings, matrix)
-        return self._repaired(matrix, repair), status
-
-    @staticmethod
-    def _repaired(matrix: KernelMatrix, repair: bool) -> KernelMatrix:
-        if repair and not matrix.is_positive_semidefinite():
-            return matrix.repaired()
-        return matrix
-
-    def _assembled_matrix(
-        self,
-        tenant: TenantContext,
-        spec: KernelSpec,
-        strings: List[WeightedString],
-        raw_by_pair: Dict[Tuple[int, int], float],
-        normalized: bool,
-        base: Optional[KernelMatrix] = None,
-    ) -> KernelMatrix:
-        """The *pre-repair* matrix assembled from raw block results."""
-        engine = tenant.session.engine(spec)
-        values = engine.assemble_gram(strings, raw_by_pair, normalized=normalized, base=base)
-        return KernelMatrix(
-            values=values,
-            names=tuple(string.name for string in strings),
-            labels=tuple(string.label for string in strings),
-            kernel_name=engine.kernel.name,
-            normalized=normalized,
-        )
-
     def _stamp_cache_status(self, tenant: TenantContext, job_id: str, status: str) -> None:
         """Record the cache outcome in the job's options (best effort)."""
         with contextlib.suppress(JobStoreError, KeyError):
@@ -956,52 +833,38 @@ class AnalysisServer:
                 lambda current: {"options": {**current.options, "cache": status}},
             )
 
-    def _distributed_matrix_payload(
+    def _evaluate_blocks(
         self,
         tenant: TenantContext,
-        job_id: str,
+        record: JobRecord,
         spec: KernelSpec,
-        strings: List[WeightedString],
-        normalized: bool,
-        repair: bool,
         shards: int,
-        use_cache: bool = True,
-    ) -> Dict[str, Any]:
-        """Coordinate a worker-pull sharded matrix job and assemble its result.
+        strings: List[WeightedString],
+        covered: int,
+    ) -> Dict[Tuple[int, int], float]:
+        """Raw pair values of a distributed job, evaluated as leasable blocks.
 
-        One leasable ``block`` record is persisted per unordered
-        index-block pair (idempotently — a requeued coordination reuses
+        The evaluation step :meth:`AnalysisSession.matrix_cached` runs for
+        ``distributed=True`` jobs.  One ``block`` record is persisted per
+        unordered index-block pair not inside the cached prefix of
+        *covered* strings (idempotently — a requeued coordination reuses
         the children that already exist, including finished ones).  The
-        coordinator then drains the queue: claiming and executing blocks
-        inline (when ``inline_blocks``), requeueing blocks whose worker's
-        lease expired, and waiting on blocks leased to live external
-        workers — until every block is ``done`` — then merges the raw pair
-        values through the engine assembler.  Raw values are deterministic
-        and JSON floats round-trip exactly, so the payload is
-        bit-identical to the in-process path no matter who computed which
-        block.
-
-        The result cache short-circuits the coordination: an exact corpus
-        hit returns the cached payload without creating a single block
-        record, and a cached prefix drops every block pair both of whose
-        blocks lie inside it — workers only ever see the appended work.
+        coordinator then drains them: claiming and executing blocks inline
+        (when ``inline_blocks``), and waiting on blocks leased to live
+        external workers, whose expired leases the workers' claim scans
+        and the maintenance tick reclaim — until every block is ``done``.
+        It decodes the raw values and forgets the finished blocks.  Raw
+        values are deterministic and JSON floats round-trip exactly, so
+        the assembled payload is bit-identical to the in-process path no
+        matter who computed which block.
         """
-        engine = tenant.session.engine(spec)
-        status, base = self._cache_base(tenant, spec, strings, normalized, use_cache)
-        if status == "hit":
-            assert base is not None
-            self._stamp_cache_status(tenant, job_id, status)
-            return engine.matrix_payload(self._repaired(base, repair), strings)
-        covered = len(base) if base is not None else 0
+        job_id = record.job_id
         blocks = plan_index_blocks(len(strings), shards)
         spec_dict = spec.to_dict()
         # Children inherit the parent's trace id (each with a span of its
         # own), so a worker claiming a block logs under the same trace the
         # client submitted.
-        try:
-            trace_id = tenant.store.get(job_id).options.get("trace_id")
-        except (KeyError, JobStoreError):
-            trace_id = None
+        trace_id = record.options.get("trace_id")
         existing: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], JobRecord] = {}
         for child in tenant.store.records(kind="block"):
             if child.options.get("parent") == job_id:
@@ -1079,13 +942,8 @@ class AnalysisServer:
             if child.worker_id:
                 block_workers.add(child.worker_id)
             raw_by_pair.update(decode_pair_values(tenant.store.load_result(child_id)["pairs"]))
-        matrix = self._assembled_matrix(tenant, spec, strings, raw_by_pair, normalized, base=base)
-        if status != "bypass":
-            tenant.session.matrix_cache_store(spec, strings, matrix)
-        self._stamp_cache_status(tenant, job_id, status)
-        payload = engine.matrix_payload(self._repaired(matrix, repair), strings)
         # Record who computed the blocks (observability), then drop the
-        # finished children — their values live on inside the payload.
+        # finished children — their values live on in the assembled matrix.
         with contextlib.suppress(JobStoreError, KeyError):
             tenant.store.mutate(
                 job_id,
@@ -1093,7 +951,7 @@ class AnalysisServer:
             )
         for child_id in child_ids:
             tenant.store.forget(child_id)
-        return payload
+        return raw_by_pair
 
     def _abandon_blocks(self, tenant: TenantContext, child_ids: List[str]) -> None:
         """Best-effort cancel + drop of a failed job's surviving block tasks."""
@@ -1139,21 +997,14 @@ class AnalysisServer:
     def _analyze_payload(
         self, tenant: TenantContext, job_id: str, config: Any, strings: List[WeightedString]
     ) -> Dict[str, Any]:
+        from repro.pipeline.pipeline import AnalysisPipeline
         from repro.pipeline.report import summarise_result
 
-        # The matrix stage inside the pipeline goes through the session's
-        # result cache; probe it up front so the analyze record (and its
-        # result envelope) reports the same hit/extended/miss outcome the
-        # matrix path does.
-        if tenant.session.matrix_cache is None:
-            status = "bypass"
-        else:
-            found = tenant.session.matrix_cache_lookup(
-                config.kernel_spec(), strings, normalized=True
-            )
-            status = {"hit": "hit", "prefix": "extended"}.get(found.status, "miss")
+        # One result-cache probe serves both the matrix stage and the
+        # hit/extended/miss outcome the record (and its envelope) reports.
+        matrix, status = tenant.session.matrix_cached(config.kernel_spec(), strings)
         self._stamp_cache_status(tenant, job_id, status)
-        result = tenant.session.analyze(config, strings=strings)
+        result = AnalysisPipeline(config).analyse_matrix(matrix, strings)
         return {
             "config": config.describe(),
             "metrics": {name: float(value) for name, value in result.metrics.items()},

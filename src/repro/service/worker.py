@@ -24,7 +24,7 @@ repeated blocks under one spec share kernel caches exactly like the
 server's in-process evaluation.  Raw pair values are serialised through
 :func:`~repro.core.engine.encode_pair_values`, whose JSON floats
 round-trip bit-identically — the assembled distributed Gram matrix equals
-the monolithic one byte for byte.
+the in-process one byte for byte.
 
 Workers never run the store's start-up recovery (that is the serving
 process's job) and claim ``block`` and ``fit-model`` records by default —

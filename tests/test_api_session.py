@@ -92,12 +92,14 @@ class TestComputation:
         # Both sweep points warmed session engines under their own specs.
         assert len(session.specs()) >= 2
 
-    def test_matrix_persistence_is_stamped(self, session, strings, tmp_path):
+    def test_matrix_persistence_is_stamped(self, strings, tmp_path):
+        import glob
         import json
 
-        path = str(tmp_path / "gram.json")
         spec = make_spec("kast", cut_weight=2)
-        session.matrix(spec, strings, cache_path=path)
+        with AnalysisSession(matrix_cache=str(tmp_path / "matrix-cache")) as cached:
+            cached.matrix(spec, strings)
+        [path] = glob.glob(str(tmp_path / "matrix-cache" / "*" / "*.payload.json"))
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
         assert payload["kernel_signature"] == spec.signature()
@@ -440,14 +442,6 @@ class TestResultCache:
         matrix, status = cached_session.matrix_cached(spec, strings, use_cache=False)
         assert status == "bypass"
         assert cached_session.matrix_cache.stats()["hits"] == 0
-
-    def test_cache_path_wins_over_result_cache(self, cached_session, tmp_path):
-        spec = make_spec("kast", cut_weight=2)
-        strings = cached_session.corpus(small=True, seed=7)[:4]
-        path = str(tmp_path / "gram.json")
-        _, status = cached_session.matrix_cached(spec, strings, cache_path=path)
-        assert status == "bypass"
-        assert os.path.exists(path)
 
     def test_signature_keyed_sharing_across_backends(self, cached_session):
         strings = cached_session.corpus(small=True, seed=7)[:5]

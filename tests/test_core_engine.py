@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import glob
+import json
 import os
 import random
 
 import numpy as np
 import pytest
 
-from repro.core.engine import GramEngine, load_matrix, save_matrix
+from repro.api.session import AnalysisSession
+from repro.api.spec import make_spec
+from repro.core.cachestore import MatrixCache
+from repro.core.engine import GramEngine, string_fingerprint
 from repro.core.kast import KastSpectrumKernel
-from repro.core.matrix import compute_kernel_matrix
+from repro.core.matrix import KernelMatrix, compute_kernel_matrix
 from repro.kernels.spectrum import SpectrumKernel
 from repro.strings.interner import TokenInterner
 from repro.strings.tokens import Token, WeightedString
@@ -25,6 +30,18 @@ def synthetic(length: int, seed: int, alphabet: int = 6, name: str = "") -> Weig
 @pytest.fixture
 def corpus():
     return [synthetic(12 + index, seed=index) for index in range(10)]
+
+
+def cached_matrix(tmp_path, strings, spec="kast"):
+    """``(matrix, status, engine counters)`` from a fresh session — a new
+    process in effect — sharing one result-cache directory under *tmp_path*."""
+    with AnalysisSession(matrix_cache=str(tmp_path / "matrix-cache")) as session:
+        matrix, status = session.matrix_cached(spec, strings)
+        return matrix, status, session.engine(spec).cache_info()
+
+
+def stored_payload_paths(tmp_path):
+    return glob.glob(str(tmp_path / "matrix-cache" / "*" / "*.payload.json"))
 
 
 class CountingKernel(KastSpectrumKernel):
@@ -140,81 +157,91 @@ class TestGram:
 
 
 class TestPersistence:
+    """Whole-matrix persistence: ``MatrixCache`` driven by the session."""
+
     def test_save_and_load_roundtrip(self, corpus, tmp_path):
         engine = GramEngine(KastSpectrumKernel(cut_weight=2))
         matrix = engine.matrix(corpus)
-        path = str(tmp_path / "gram.json")
-        save_matrix(matrix, path)
-        loaded = load_matrix(path)
-        np.testing.assert_allclose(loaded.values, matrix.values)
+        cache = MatrixCache(str(tmp_path / "cache"))
+        cache.store(engine.matrix_payload(matrix, corpus))
+        found = cache.lookup(
+            engine.kernel_signature(), True, [string_fingerprint(string) for string in corpus],
+            [string.name for string in corpus], [string.label for string in corpus],
+        )
+        assert found.status == "hit"
+        loaded = KernelMatrix.from_dict(found.payload)
+        np.testing.assert_array_equal(loaded.values, matrix.values)
         assert loaded.names == matrix.names
         assert loaded.kernel_name == matrix.kernel_name
 
     def test_compute_writes_cache_file(self, corpus, tmp_path):
-        path = str(tmp_path / "cache.json")
-        engine = GramEngine(KastSpectrumKernel(cut_weight=2))
-        engine.compute(corpus, cache_path=path)
-        assert os.path.exists(path)
+        _, status, _ = cached_matrix(tmp_path, corpus)
+        assert status == "miss"
+        assert len(stored_payload_paths(tmp_path)) == 1
 
     def test_compute_reuses_cache_without_evaluations(self, corpus, tmp_path):
-        path = str(tmp_path / "cache.json")
-        GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus, cache_path=path)
-        kernel = CountingKernel(cut_weight=2)
-        matrix = GramEngine(kernel).compute(corpus, cache_path=path)
-        assert kernel.value_calls == 0 and kernel.row_values == 0
-        reference = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus)
-        np.testing.assert_allclose(matrix.values, reference.values)
+        cached_matrix(tmp_path, corpus)
+        matrix, status, info = cached_matrix(tmp_path, corpus)
+        assert status == "hit"
+        assert info["kernel_evals"] == 0 and info["pair_misses"] == 0
+        reference = compute_kernel_matrix(corpus, KastSpectrumKernel(cut_weight=2))
+        np.testing.assert_array_equal(matrix.values, reference.values)
 
     def test_incremental_extension_matches_full_recompute(self, corpus, tmp_path):
-        path = str(tmp_path / "cache.json")
-        prefix = corpus[:6]
-        GramEngine(KastSpectrumKernel(cut_weight=2)).compute(prefix, cache_path=path)
-        kernel = CountingKernel(cut_weight=2)
-        extended = GramEngine(kernel).compute(corpus, cache_path=path)
+        cached_matrix(tmp_path, corpus[:6])
+        extended, status, info = cached_matrix(tmp_path, corpus)
+        assert status == "extended"
         # Only pairs touching the 4 appended strings get evaluated:
         # 6*4 cross pairs + C(4,2) new pairs = 30 < C(10,2) = 45.
-        assert kernel.value_calls + kernel.row_values <= 30
-        full = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus)
-        np.testing.assert_allclose(extended.values, full.values, atol=1e-12)
+        assert info["pair_misses"] + info["pair_hits"] <= 30
+        full = compute_kernel_matrix(corpus, KastSpectrumKernel(cut_weight=2))
+        np.testing.assert_array_equal(extended.values, full.values)
 
     def test_extend_explicit_api(self, corpus):
         engine = GramEngine(KastSpectrumKernel(cut_weight=2))
         base = engine.matrix(corpus[:5])
-        extended = engine.extend(base, corpus)
+        extended = engine.matrix(corpus, base=base)
         full = GramEngine(KastSpectrumKernel(cut_weight=2)).matrix(corpus)
-        np.testing.assert_allclose(extended.values, full.values, atol=1e-12)
+        np.testing.assert_array_equal(extended.values, full.values)
 
     def test_extend_rejects_mismatched_prefix(self, corpus):
+        # Content matching is the cache lookup's job; the engine still
+        # refuses a base that cannot be a prefix of the requested matrix.
         engine = GramEngine(KastSpectrumKernel(cut_weight=2))
         base = engine.matrix(corpus[:5])
-        shuffled = list(reversed(corpus))
         with pytest.raises(ValueError):
-            engine.extend(base, shuffled)
+            engine.matrix(corpus[:3], base=base)
+        with pytest.raises(ValueError):
+            engine.matrix(corpus, normalized=False, base=base)
 
     def test_mismatched_cache_triggers_recompute(self, corpus, tmp_path):
-        path = str(tmp_path / "cache.json")
-        GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus, cache_path=path)
+        cached_matrix(tmp_path, corpus, spec=make_spec("kast", cut_weight=2))
         # A kernel with another cut weight must not reuse the stored matrix.
-        other = GramEngine(KastSpectrumKernel(cut_weight=64)).compute(corpus, cache_path=path)
-        reference = GramEngine(KastSpectrumKernel(cut_weight=64)).compute(corpus)
-        np.testing.assert_allclose(other.values, reference.values)
+        other, status, _ = cached_matrix(tmp_path, corpus, spec=make_spec("kast", cut_weight=64))
+        assert status == "miss"
+        reference = compute_kernel_matrix(corpus, KastSpectrumKernel(cut_weight=64))
+        np.testing.assert_array_equal(other.values, reference.values)
 
     @pytest.mark.parametrize("content", ["{not json", "[1, 2, 3]", '{"names": 7}', '{"values": "x"}'])
     def test_corrupt_cache_file_is_ignored(self, corpus, tmp_path, content):
-        path = str(tmp_path / "cache.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(content)
-        matrix = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus, cache_path=path)
-        assert len(matrix) == len(corpus)
+        cached_matrix(tmp_path, corpus)
+        for path in stored_payload_paths(tmp_path):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(content)
+        matrix, status, _ = cached_matrix(tmp_path, corpus)
+        assert status == "miss"
+        reference = compute_kernel_matrix(corpus, KastSpectrumKernel(cut_weight=2))
+        np.testing.assert_array_equal(matrix.values, reference.values)
 
     def test_full_cache_hit_skips_rewrite(self, corpus, tmp_path):
-        path = str(tmp_path / "cache.json")
-        GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus, cache_path=path)
+        cached_matrix(tmp_path, corpus)
+        [path] = stored_payload_paths(tmp_path)
         stat = os.stat(path)
-        matrix = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus, cache_path=path)
+        matrix, status, _ = cached_matrix(tmp_path, corpus)
+        assert status == "hit"
         assert os.stat(path).st_mtime_ns == stat.st_mtime_ns
-        fresh = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus)
-        np.testing.assert_allclose(matrix.values, fresh.values)
+        fresh = compute_kernel_matrix(corpus, KastSpectrumKernel(cut_weight=2))
+        np.testing.assert_array_equal(matrix.values, fresh.values)
 
     def test_tiny_pair_cache_eviction_never_aliases(self, corpus):
         # Forcing registry eviction must never hand out a previously used
@@ -228,25 +255,25 @@ class TestPersistence:
     def test_same_names_different_content_recomputes(self, corpus, tmp_path):
         # Same example names, different token content: the stored matrix
         # must NOT be reused (fingerprints catch what names cannot).
-        path = str(tmp_path / "cache.json")
-        GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus, cache_path=path)
+        cached_matrix(tmp_path, corpus)
         renamed = [
             WeightedString(synthetic(10 + index, seed=1000 + index).tokens, name=string.name, label=string.label)
             for index, string in enumerate(corpus)
         ]
-        cached = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(renamed, cache_path=path)
-        fresh = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(renamed)
-        np.testing.assert_allclose(cached.values, fresh.values)
+        cached, status, _ = cached_matrix(tmp_path, renamed)
+        assert status == "miss"
+        fresh = compute_kernel_matrix(renamed, KastSpectrumKernel(cut_weight=2))
+        np.testing.assert_array_equal(cached.values, fresh.values)
 
     def test_kernel_flag_change_recomputes(self, corpus, tmp_path):
         # Same kernel name "kast(cut=2)" but different value-affecting flag:
         # the kernel signature must invalidate the cache.
-        path = str(tmp_path / "cache.json")
-        GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus, cache_path=path)
-        flagged_kernel = KastSpectrumKernel(cut_weight=2, filter_tokens_below_cut=True)
-        cached = GramEngine(flagged_kernel).compute(corpus, cache_path=path)
-        fresh = GramEngine(KastSpectrumKernel(cut_weight=2, filter_tokens_below_cut=True)).compute(corpus)
-        np.testing.assert_allclose(cached.values, fresh.values)
+        cached_matrix(tmp_path, corpus)
+        flagged = make_spec("kast", cut_weight=2, filter_tokens_below_cut=True)
+        cached, status, _ = cached_matrix(tmp_path, corpus, spec=flagged)
+        assert status == "miss"
+        fresh = compute_kernel_matrix(corpus, KastSpectrumKernel(cut_weight=2, filter_tokens_below_cut=True))
+        np.testing.assert_array_equal(cached.values, fresh.values)
 
 
 class TestBackendIntegrity:
@@ -291,11 +318,9 @@ class TestSpecIntegration:
 
     def test_backend_change_does_not_invalidate_cache(self, corpus, tmp_path):
         # The backends are value-equivalent; the spec signature exempts them.
-        path = str(tmp_path / "cache.json")
-        GramEngine(KastSpectrumKernel(cut_weight=2, backend="numpy")).compute(corpus, cache_path=path)
-        kernel = CountingKernel(cut_weight=2, backend="python")
-        GramEngine(kernel).compute(corpus, cache_path=path)
-        assert kernel.value_calls == 0 and kernel.row_values == 0
+        cached_matrix(tmp_path, corpus, spec=make_spec("kast", backend="numpy"))
+        _, status, info = cached_matrix(tmp_path, corpus, spec=make_spec("kast", backend="python"))
+        assert status == "hit" and info["kernel_evals"] == 0
 
     @pytest.mark.parametrize(
         "changed",
@@ -308,40 +333,34 @@ class TestSpecIntegration:
     def test_any_spec_field_change_invalidates_persistence(self, corpus, tmp_path, changed):
         # Regression: a matrix persisted under one spec signature must be
         # recomputed whenever any value-affecting spec field changes.
-        path = str(tmp_path / "cache.json")
-        GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus, cache_path=path)
-        same = CountingKernel(cut_weight=2)
-        GramEngine(same).compute(corpus, cache_path=path)
-        assert same.value_calls == 0 and same.row_values == 0  # full reuse
+        cached_matrix(tmp_path, corpus, spec=make_spec("kast", cut_weight=2))
+        _, status, info = cached_matrix(tmp_path, corpus, spec=make_spec("kast", cut_weight=2))
+        assert status == "hit" and info["kernel_evals"] == 0  # full reuse
         kwargs = dict(cut_weight=2)
         kwargs.update(changed)
-        different = CountingKernel(**kwargs)
-        GramEngine(different).compute(corpus, cache_path=path)
-        assert different.value_calls + different.row_values > 0  # recomputed
+        _, status, info = cached_matrix(tmp_path, corpus, spec=make_spec("kast", **kwargs))
+        assert status == "miss" and info["kernel_evals"] > 0  # recomputed
 
     def test_engine_save_always_stamps(self, corpus, tmp_path):
-        import json
+        from repro.core.cachestore import MatrixCacheError
 
         engine = GramEngine(KastSpectrumKernel(cut_weight=2))
         matrix = engine.matrix(corpus)
-        path = str(tmp_path / "stamped.json")
-        engine.save(matrix, path, corpus)
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        payload = engine.matrix_payload(matrix, corpus)
         assert payload["kernel_signature"] == engine.kernel_signature()
         assert len(payload["fingerprints"]) == len(corpus)
         with pytest.raises(ValueError):
-            engine.save(matrix, path, corpus[:-1])
+            engine.matrix_payload(matrix, corpus[:-1])
+        # The one persistence layer refuses anything the engine did not stamp.
+        with pytest.raises(MatrixCacheError):
+            MatrixCache(str(tmp_path / "cache")).store(matrix.as_dict())
 
     def test_compute_cache_file_carries_signature(self, corpus, tmp_path):
-        import json
-
-        path = str(tmp_path / "cache.json")
-        engine = GramEngine(KastSpectrumKernel(cut_weight=2))
-        engine.compute(corpus, cache_path=path)
+        cached_matrix(tmp_path, corpus)
+        [path] = stored_payload_paths(tmp_path)
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        assert payload["kernel_signature"] == engine.kernel_signature()
+        assert payload["kernel_signature"] == make_spec("kast").signature()
 
 
 class TestProcessExecutor:
@@ -425,11 +444,9 @@ class TestExplicitSpecShorthand:
     def test_partial_spec_engine_matches_canonical_signature(self, corpus, tmp_path):
         # A cache written under the canonical spec must be reused by an
         # engine configured with the equivalent partial-JSON spec.
-        path = str(tmp_path / "cache.json")
-        GramEngine(spec="kast").compute(corpus, cache_path=path)
-        counting = CountingKernel(cut_weight=2)
-        GramEngine(counting, spec='{"kind": "kast"}').compute(corpus, cache_path=path)
-        assert counting.value_calls == 0 and counting.row_values == 0
+        cached_matrix(tmp_path, corpus, spec="kast")
+        _, status, info = cached_matrix(tmp_path, corpus, spec='{"kind": "kast"}')
+        assert status == "hit" and info["kernel_evals"] == 0
 
 
 class TestBlockSharding:

@@ -130,7 +130,8 @@ class TestRep001AtomicWrites:
                         return handle.read()
                 """
             ),
-            # viz output files are not persistent service state.
+            # Seeded violation: REP001 covers every module, so an output
+            # file written bare is flagged like a store layer's would be.
             "repro/viz/scatter.py": dedent(
                 """
                 def save(path, text):
@@ -139,7 +140,8 @@ class TestRep001AtomicWrites:
                 """
             ),
         }
-        assert run_rule("REP001", texts) == []
+        findings = run_rule("REP001", texts)
+        assert [(finding.path, finding.line) for finding in findings] == [("repro/viz/scatter.py", 2)]
 
 
 # ----------------------------------------------------------------------

@@ -8,37 +8,40 @@ from repro.core.kast import KastSpectrumKernel
 from repro.kernels.bag import BagOfCharactersKernel, BagOfWordsKernel
 from repro.kernels.blended import BlendedSpectrumKernel
 from repro.kernels.spectrum import SpectrumKernel
-from repro.pipeline.config import KERNEL_CHOICES, ExperimentConfig, make_kernel
+from repro.api.spec import kernel_from_spec, make_spec
+from repro.pipeline.config import KERNEL_CHOICES, ExperimentConfig
 
 
 class TestMakeKernel:
+    """Kernel construction from a kind name: ``make_spec`` + ``kernel_from_spec``."""
+
     def test_all_kernel_choices_constructible(self):
         for kind in KERNEL_CHOICES:
-            kernel = make_kernel(kind, cut_weight=4)
+            kernel = kernel_from_spec(make_spec(kind))
             assert hasattr(kernel, "value")
 
     def test_kast_gets_cut_weight(self):
-        kernel = make_kernel("kast", cut_weight=8)
+        kernel = kernel_from_spec(make_spec("kast", cut_weight=8))
         assert isinstance(kernel, KastSpectrumKernel)
         assert kernel.cut_weight == 8
 
     def test_blended_gets_min_weight_and_k(self):
-        kernel = make_kernel("blended", cut_weight=4, spectrum_k=5)
+        kernel = kernel_from_spec(make_spec("blended", min_weight=4, max_length=5))
         assert isinstance(kernel, BlendedSpectrumKernel)
         assert kernel.min_weight == 4
         assert kernel.max_length == 5
 
     def test_spectrum_and_bags(self):
-        assert isinstance(make_kernel("spectrum"), SpectrumKernel)
-        assert isinstance(make_kernel("bag-of-characters"), BagOfCharactersKernel)
-        assert isinstance(make_kernel("bag-of-words"), BagOfWordsKernel)
+        assert isinstance(kernel_from_spec(make_spec("spectrum")), SpectrumKernel)
+        assert isinstance(kernel_from_spec(make_spec("bag-of-characters")), BagOfCharactersKernel)
+        assert isinstance(kernel_from_spec(make_spec("bag-of-words")), BagOfWordsKernel)
 
     def test_case_insensitive(self):
-        assert isinstance(make_kernel("KAST"), KastSpectrumKernel)
+        assert isinstance(kernel_from_spec(make_spec("KAST")), KastSpectrumKernel)
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):
-            make_kernel("transformer")
+            make_spec("transformer")
 
 
 class TestExperimentConfig:

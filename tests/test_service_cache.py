@@ -20,10 +20,13 @@ from repro.service import AnalysisServer
 from repro.service.protocol import (
     CacheStatsRequest,
     ResultRequest,
+    SubmitAnalyzeRequest,
     SubmitMatrixRequest,
     check_response,
+    dump_message,
     encode_corpus,
 )
+from repro.strings.tokens import Token, WeightedString
 
 SPEC = make_spec("kast", cut_weight=2)
 
@@ -180,6 +183,71 @@ class TestDistributedPrefixReuse:
             )
         assert hit.get("cache") == "hit"
         assert created == []
+
+
+class TestAnalyzeProbesOnce:
+    def test_analyze_job_probes_the_matrix_cache_once(self, server, strings):
+        def analyze():
+            response = check_response(
+                server.handle(
+                    SubmitAnalyzeRequest(
+                        spec=SPEC.to_dict(), strings=tuple(encode_corpus(strings))
+                    ).to_payload()
+                )
+            )
+            return wait_result(server, response["job_id"])
+
+        cold = analyze()
+        counters = server.session.matrix_cache.counters()
+        assert cold.get("cache") == "miss"
+        assert (counters["hits"], counters["misses"]) == (0, 1)
+        warm = analyze()
+        counters = server.session.matrix_cache.counters()
+        assert warm.get("cache") == "hit"
+        assert (counters["hits"], counters["misses"]) == (1, 1)
+        assert canonical(cold["payload"]) == canonical(warm["payload"])
+
+
+#: ``(submit options, cached prefix length before a restart or None,
+#: expected cache outcome)`` of every way a matrix job reaches a payload.
+GRAM_PATHS = {
+    "shards-1": (dict(shards=1), None, "miss"),
+    "shards-3-in-process": (dict(shards=3), None, "miss"),
+    "shards-3-distributed": (dict(shards=3, distributed=True), None, "miss"),
+    "exact-hit-after-restart": (dict(shards=1), "all", "hit"),
+    "prefix-extended-after-restart": (dict(shards=1), 5, "extended"),
+    "prefix-extended-after-restart-distributed": (dict(shards=3, distributed=True), 5, "extended"),
+    "use-cache-false": (dict(use_cache=False), None, "bypass"),
+}
+
+
+class TestOneGramPath:
+    """Every matrix-job path yields the bytes of the in-process payload."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, strings):
+        duplicate = WeightedString(strings[2].tokens, name="duplicate-of-2", label=strings[2].label)
+        single = WeightedString([Token("open", 4096)], name="single-token", label=strings[0].label)
+        return [*strings[:6], duplicate, single]
+
+    @pytest.fixture(scope="class")
+    def reference(self, corpus):
+        with AnalysisSession() as session:
+            matrix = session.matrix(SPEC, corpus)
+            return dump_message(session.engine(SPEC).matrix_payload(matrix, corpus))
+
+    @pytest.mark.parametrize("path", sorted(GRAM_PATHS))
+    def test_payload_bytes_equal_in_process_payload(self, tmp_path, corpus, reference, path):
+        options, cached, expected = GRAM_PATHS[path]
+        state_dir = str(tmp_path / "state")
+        if cached is not None:
+            prefix = corpus if cached == "all" else corpus[:cached]
+            with AnalysisServer(state_dir=state_dir) as first_server:
+                wait_result(first_server, submit(first_server, prefix)["job_id"])
+        with AnalysisServer(state_dir=state_dir) as server:
+            result = wait_result(server, submit(server, corpus, **options)["job_id"])
+        assert result.get("cache") == expected
+        assert dump_message(result["payload"]) == reference
 
 
 class TestCoalescing:
